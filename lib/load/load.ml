@@ -147,7 +147,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
           (if won then f_win lor f_reset else 0)
           lor (if stage = Scs_tas.One_shot.Fallback then f_aborts 1 lor f_handoffs 1 else 0)
           lor if round >= rounds - margin then f_recycle else 0
-      | exception Failure _ -> f_recycle
+      | exception Scs_tas.Long_lived.Capacity_exceeded -> f_recycle
     in
     let i_read ~pid ~key = if Ll.value_read handles.(pid).(key) then f_win else 0 in
     {
@@ -287,7 +287,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
           used.(pid) <- u;
           f_aborts switched lor f_handoffs switched
           lor if u >= budget then f_recycle else 0
-      | exception Failure _ -> f_recycle
+      | exception Scs_universal.Universal.Capacity_exceeded -> f_recycle
     in
     let i_update ~pid ~key ~rng = f_win lor apply ~pid ~key (Objects.Reg_write (Rng.int rng 1024)) in
     let i_read ~pid ~key = apply ~pid ~key Objects.Reg_read in
@@ -364,83 +364,61 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     { i_read; i_update; i_refresh = (fun ~pid:_ -> ()); i_recycle; i_stats = (fun () -> []) }
 
   (* The sharded universal-construction service: keys hash to buckets,
-     buckets route to one of [shards] UC instances, and every op goes
-     through the per-shard flat-combining batcher. The keyspace's
-     total state budget [capacity] is split across shards, so more
-     shards mean shorter per-shard request histories — that is the
-     sharding win the --shards sweep measures (response evaluation
-     replays the history, so per-op cost scales with per-shard
-     capacity), on top of real parallelism when cores allow. Domain 0
-     optionally delegates a bucket to the next shard every
-     [migrate_every] of its own updates, exercising the freeze → seal
-     → install → re-route protocol under full native load. *)
+     buckets route to one of [shards] UC instances, and every op is a
+     [Service.apply] on the owner shard. The keyspace's total state
+     budget [capacity] is split across shards, so more shards mean
+     shorter per-shard histories and cheaper response evaluation (it
+     replays the history) — the win the --shards sweep measures, on top
+     of real parallelism when cores allow. Domain 0 optionally
+     delegates a bucket to the next shard every [migrate_every] of its
+     own updates, exercising the freeze → seal → install → re-route
+     protocol under native load; a migration that runs a shard out of
+     slots leaves its bucket frozen until the recycle it requests. *)
   let sharded_uc ~domains ~shards ~buckets ~capacity ~migrate_every =
     let shard_cap = max ((4 * domains) + 16) (capacity / shards) in
-    let generation = Atomic.make 0 in
-    let mk () =
-      let g = Atomic.fetch_and_add generation 1 in
-      let svc =
-        Sv.create ~name:(spf "load.svc.g%d" g) ~n:domains ~shards ~buckets
-          ~capacity:shard_cap ()
-      in
-      (svc, Sv.Batcher.create ~name:(spf "load.bat.g%d" g) svc)
-    in
+    let mk () = Sv.create ~name:"load.svc" ~n:domains ~shards ~buckets ~capacity:shard_cap () in
     let arena = ref (mk ()) in
+    let mig = ref (Sv.Migration.create ~name:"load.mig" !arena) in
     let budget = max 1 ((shard_cap - (2 * domains) - 4) / domains) in
-    let handles = Array.init domains (fun pid -> Sv.handle (fst !arena) ~pid) in
+    let handles = Array.init domains (fun pid -> Sv.handle !arena ~pid) in
     let used = Array.make_matrix domains shards 0 in
     let shard_ops = Array.init shards (fun _ -> Atomic.make 0) in
-    let batches = Atomic.make 0 and batched = Atomic.make 0 in
-    let mig = ref (Sv.Migration.create ~name:"load.mig.g0" (fst !arena)) in
-    let mig_rr = Atomic.make 0 and upd0 = ref 0 in
-    let apply ~pid ~key payload =
-      let svc, bat = !arena in
-      match Sv.Batcher.apply bat ~h:handles.(pid) payload with
+    let upd0 = ref 0 in
+    let apply ~pid payload =
+      match Sv.apply handles.(pid) payload with
       | Sv.Done _ ->
-          let b = Scs_shard.Kv.bucket_of_key ~buckets key in
-          let s = (Sv.R.route_bucket (Sv.router svc) ~bucket:b).Sv.R.owner in
+          (* the attempt record names the shard that committed the op *)
+          let s, _ = Option.get (Sv.inflight handles.(pid)) in
           Atomic.incr shard_ops.(s);
           let u = used.(pid).(s) + 1 in
           used.(pid).(s) <- u;
           (f_win lor if u >= budget then f_recycle else 0)
-      | Sv.Gave_up -> f_recycle
-      | exception Failure _ -> f_recycle
+      | Sv.Gave_up | (exception Scs_universal.Universal.Capacity_exceeded) -> f_recycle
     in
-    let maybe_migrate ~pid =
-      if migrate_every > 0 && pid = 0 then begin
-        incr upd0;
-        if !upd0 mod migrate_every = 0 then begin
-          let svc, _ = !arena in
-          let b = Atomic.fetch_and_add mig_rr 1 mod buckets in
-          let dst = ((Sv.R.route_bucket (Sv.router svc) ~bucket:b).Sv.R.owner + 1) mod shards in
-          try Sv.Migration.migrate !mig ~h:handles.(pid) ~bucket:b ~dst
-          with Failure _ -> ()
-        end
-      end
+    let migrate () =
+      incr upd0;
+      if !upd0 mod migrate_every <> 0 then 0
+      else
+        let b = (!upd0 / migrate_every) mod buckets in
+        let dst = ((Sv.R.route_bucket (Sv.router !arena) ~bucket:b).Sv.R.owner + 1) mod shards in
+        match Sv.Migration.migrate !mig ~h:handles.(0) ~bucket:b ~dst with
+        | () -> 0
+        | exception Scs_universal.Universal.Capacity_exceeded -> f_recycle
     in
     let i_update ~pid ~key ~rng =
-      maybe_migrate ~pid;
-      apply ~pid ~key (Scs_shard.Kv.Put (key, Rng.int rng 1024))
+      let fl = if pid = 0 && migrate_every > 0 then migrate () else 0 in
+      fl lor apply ~pid (Scs_shard.Kv.Put (key, Rng.int rng 1024))
     in
-    let i_read ~pid ~key = apply ~pid ~key (Scs_shard.Kv.Get key) land lnot f_win in
+    let i_read ~pid ~key = apply ~pid (Scs_shard.Kv.Get key) land lnot f_win in
     let i_refresh ~pid =
-      handles.(pid) <- Sv.handle (fst !arena) ~pid;
+      handles.(pid) <- Sv.handle !arena ~pid;
       Array.fill used.(pid) 0 shards 0
     in
     let i_recycle () =
-      let _, bat = !arena in
-      Atomic.set batches (Atomic.get batches + Sv.Batcher.batches bat);
-      Atomic.set batched (Atomic.get batched + Sv.Batcher.batched_ops bat);
-      let g = Atomic.get generation in
       arena := mk ();
-      mig := Sv.Migration.create ~name:(spf "load.mig.g%d" g) (fst !arena)
+      mig := Sv.Migration.create ~name:"load.mig" !arena
     in
-    let i_stats () =
-      let _, bat = !arena in
-      (("batches", Atomic.get batches + Sv.Batcher.batches bat)
-      :: ("batched_ops", Atomic.get batched + Sv.Batcher.batched_ops bat)
-      :: List.init shards (fun s -> (spf "shard%d_ops" s, Atomic.get shard_ops.(s))))
-    in
+    let i_stats () = List.init shards (fun s -> (spf "shard%d_ops" s, Atomic.get shard_ops.(s))) in
     { i_read; i_update; i_refresh; i_recycle; i_stats }
 
   let make cfg =

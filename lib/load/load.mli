@@ -49,8 +49,8 @@
     [Chain] proposes on a composed consensus chain, advancing to a
     fresh instance as each decides; [Sharded_uc] routes keyed
     operations over [cfg.shards] universal-construction instances
-    through the {!Scs_shard} service (batched via its flat-combining
-    [Batcher], with optional periodic bucket migration). *)
+    through the {!Scs_shard} service, each a plain [Service.apply]
+    on the owner shard, with optional periodic bucket migration. *)
 type workload =
   | Speculative
   | Strict_tas
@@ -113,8 +113,8 @@ type result = {
   r_recycles : int;  (** quiescent arena recycles *)
   r_abort_rate : float;  (** aborts per update *)
   r_extra : (string * int) list;
-      (** workload-specific counters (sharded-uc: flat-combining batch
-          counts and per-shard op totals — the imbalance evidence) *)
+      (** workload-specific counters (sharded-uc: per-shard committed
+          op totals, warmup included — the imbalance evidence) *)
 }
 
 val run : cfg -> result

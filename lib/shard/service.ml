@@ -175,121 +175,4 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
           do_reroute t ~bucket ~dst
       | Rerouting { bucket; dst } -> do_reroute t ~bucket ~dst
   end
-
-  module Batcher = struct
-    type svc = t
-
-    type cell = {
-      c_req : Kv.req Request.t;
-      c_bucket : int;
-      c_shard : int;
-      c_resp : Kv.resp option P.reg;  (** volatile: a DRAM mailbox *)
-    }
-
-    type t = {
-      svc : svc;
-      name : string;
-      queues : cell list P.cas_obj array;  (** Treiber stacks, one per shard *)
-      locks : P.tas_obj array;  (** combiner locks *)
-      cells : int Atomic.t;  (** harness bookkeeping: unique mailbox names *)
-      n_batches : int Atomic.t;
-      n_batched : int Atomic.t;
-    }
-
-    let create ~name svc =
-      {
-        svc;
-        name;
-        queues =
-          Array.init (shards svc) (fun s -> P.cas_obj ~name:(spf "%s.q[%d]" name s) []);
-        locks = Array.init (shards svc) (fun s -> P.tas_obj ~name:(spf "%s.lock[%d]" name s) ());
-        cells = Atomic.make 0;
-        n_batches = Atomic.make 0;
-        n_batched = Atomic.make 0;
-      }
-
-    let batches t = Atomic.get t.n_batches
-    let batched_ops t = Atomic.get t.n_batched
-
-    let rec push q cell =
-      let old = P.cas_read q in
-      if not (P.compare_and_swap q ~expect:old ~update:(cell :: old)) then begin
-        P.pause ();
-        push q cell
-      end
-
-    let rec grab q =
-      match P.cas_read q with
-      | [] -> []
-      | old ->
-          if P.compare_and_swap q ~expect:old ~update:[] then List.rev old
-          else begin
-            P.pause ();
-            grab q
-          end
-
-    (* Drain one shard's queue through the combiner's own handle. Each
-       cell's route is revalidated at apply time: the submitter chose
-       the shard before queueing, and a migration may have frozen or
-       moved the bucket since. *)
-    let drain t ~h shard =
-      match grab t.queues.(shard) with
-      | [] -> ()
-      | batch ->
-          Atomic.incr t.n_batches;
-          List.iter
-            (fun c ->
-              let r = R.route_bucket (router t.svc) ~bucket:c.c_bucket in
-              let resp =
-                if r.R.frozen || r.R.owner <> shard then Kv.Refused
-                else apply_on h ~shard c.c_req
-              in
-              Atomic.incr t.n_batched;
-              P.write c.c_resp (Some resp))
-            batch
-
-    let apply ?(retries = default_retries) t ~h payload =
-      let key =
-        match Kv.key_of_req payload with
-        | Some key -> key
-        | None -> invalid_arg "Batcher.apply: administrative request; use apply_on"
-      in
-      let bucket = Kv.bucket_of_key ~buckets:(buckets t.svc) key in
-      let rec go attempts =
-        if attempts >= retries then Gave_up
-        else
-          let r = R.route_bucket (router t.svc) ~bucket in
-          if r.R.frozen then begin
-            P.pause ();
-            go (attempts + 1)
-          end
-          else begin
-            let cell =
-              {
-                c_req = fresh_req h payload;
-                c_bucket = bucket;
-                c_shard = r.R.owner;
-                c_resp =
-                  P.volatile_reg
-                    ~name:(spf "%s.cell[%d]" t.name (Atomic.fetch_and_add t.cells 1))
-                    None;
-              }
-            in
-            push t.queues.(r.R.owner) cell;
-            let rec wait () =
-              match P.read cell.c_resp with
-              | Some resp -> resp
-              | None ->
-                  if P.test_and_set t.locks.(r.R.owner) then begin
-                    drain t ~h r.R.owner;
-                    P.tas_reset t.locks.(r.R.owner)
-                  end
-                  else P.pause ();
-                  wait ()
-            in
-            match wait () with Kv.Refused -> go (attempts + 1) | resp -> Done resp
-          end
-      in
-      go 0
-  end
 end

@@ -17,11 +17,10 @@
     have taken effect). No operation is ever dropped silently or
     applied twice.
 
-    {!Make.Migration} and {!Make.Batcher} are nested in the functor on
-    purpose: one functor application shares the service's abstract
-    types across the router, the migration state machine and the
-    combining layer — re-applying [module type of] per unit would mint
-    incompatible copies of them.
+    {!Make.Migration} is nested in the functor on purpose: one functor
+    application shares the service's abstract types between the router
+    and the migration state machine — re-applying [module type of] per
+    unit would mint incompatible copies of them.
 
     {2 Crash recovery}
 
@@ -56,7 +55,9 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     unit ->
     t
   (** [capacity] is each shard's [max_requests]; administrative
-      requests (freeze/install) consume it too. [stages] defaults to
+      requests (freeze/install) consume it too. A shard out of slots
+      raises [Scs_universal.Universal.Capacity_exceeded] from any call
+      that proposes on it. [stages] defaults to
       the composed split > bakery > cas chain sized for [n]
       processes. *)
 
@@ -147,40 +148,5 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
         when [Idle]. Administrative requests are re-proposed under
         fresh ids — sound because [Freeze]/[Install] are idempotent in
         the shard spec, unlike client [Put]s. *)
-  end
-
-  (** Per-shard flat-combining operation queues — the native backend's
-      batching layer, written against [P] like everything else so the
-      simulator selfcheck covers it.
-
-      A submitter pushes a cell onto its shard's Treiber stack and
-      spins: if its response has landed it returns, otherwise it
-      try-acquires the shard's combiner lock and, on success, drains
-      the whole queue through its {e own} universal-construction
-      handle — one process proposing a batch back-to-back, so the
-      consensus fast path stays solo and the bakery/cas fallbacks
-      stay cold. Self-service on the spin path makes the scheme
-      deadlock-free: a cell never waits on a combiner that is not
-      running (the submitter becomes one). Route changes between
-      submit and drain are caught by the combiner revalidating each
-      cell's bucket; stale cells answer [Refused] and the submitter
-      re-routes, exactly like the unbatched path. Not crash-safe (the
-      queues are volatile); the crash fuzz workloads drive the service
-      directly. *)
-  module Batcher : sig
-    type svc := t
-    type t
-
-    val create : name:string -> svc -> t
-
-    val apply : ?retries:int -> t -> h:h -> Kv.req -> outcome
-    (** Same contract as {!val:apply}, through the combining layer. *)
-
-    val batches : t -> int
-    (** Combiner drains executed so far (harness-visible counter). *)
-
-    val batched_ops : t -> int
-    (** Cells served across all drains; [batched_ops / batches] is the
-        mean batch size. *)
   end
 end

@@ -1,5 +1,7 @@
 open Scs_spec
 
+exception Capacity_exceeded
+
 module Make (P : Scs_prims.Prims_intf.S) = struct
   module Os = One_shot.Make (P)
 
@@ -20,7 +22,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
 
   let test_and_set_info h =
     let c = P.read h.t.count in
-    if c >= h.t.rounds then failwith "Long_lived.test_and_set: round capacity exceeded";
+    if c >= h.t.rounds then raise Capacity_exceeded;
     let resp, stage = Os.test_and_set_staged h.t.arr.(c) ~pid:h.pid in
     if resp = Objects.Winner then h.crt_winner <- true;
     (resp, stage, c)

@@ -15,6 +15,9 @@
 
 open Scs_spec
 
+exception Capacity_exceeded
+(** Raised by the [test_and_set] family once all [rounds] are used. *)
+
 module Make (P : Scs_prims.Prims_intf.S) : sig
   module Os : module type of One_shot.Make (P)
 

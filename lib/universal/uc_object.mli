@@ -37,8 +37,9 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
 
   val invoke : 'i phandle -> 'i Request.t -> 'i History.t
   (** Run the request through the chain until some stage commits; returns
-      the commit history. Raises [Failure] if even the last stage aborts
-      (impossible with a wait-free closing stage). *)
+      the commit history. Raises [Universal.Capacity_exceeded] when the
+      current stage runs out of slots, and [Failure] if even the last
+      stage aborts (impossible with a wait-free closing stage). *)
 
   val stage_of : 'i phandle -> int
   (** Index of the stage the process is currently using (0-based). *)
@@ -54,6 +55,7 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     val handle : ('q, 'i, 'r) obj -> pid:int -> ('q, 'i, 'r) obj * 'i phandle
 
     val apply : ('q, 'i, 'r) obj * 'i phandle -> 'i Request.t -> 'r
-    (** Commit the request and evaluate its response, [β(h, m)]. *)
+    (** Commit the request and evaluate its response, [β(h, m)]. Raises
+        [Universal.Capacity_exceeded] like {!invoke}. *)
   end
 end

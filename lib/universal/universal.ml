@@ -6,6 +6,8 @@ type 'i abstract_outcome =
   | Committed of 'i History.t
   | Aborted_with of 'i History.t
 
+exception Capacity_exceeded
+
 module Make (P : Scs_prims.Prims_intf.S) = struct
   module Snap = Snapshot.Make (P)
 
@@ -130,8 +132,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
           else if P.read h.t.aborted then recover_and_abort h req
           else begin
             let k = h.next_slot in
-            if k >= h.t.max_requests then
-              failwith "Universal.invoke: slot capacity exceeded"
+            if k >= h.t.max_requests then raise Capacity_exceeded
             else begin
               let old =
                 if k < Array.length h.init_hist && not (performed_mem h h.init_hist.(k)) then

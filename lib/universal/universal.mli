@@ -32,6 +32,10 @@ type 'i abstract_outcome =
           [β(h, m)] *)
   | Aborted_with of 'i History.t  (** the abort history *)
 
+exception Capacity_exceeded
+(** All [max_requests] consensus slots are used up; callers that bound
+    histories (the load harness) rebuild the object. *)
+
 module Make (P : Scs_prims.Prims_intf.S) : sig
   type 'i t
   type 'i handle
@@ -54,7 +58,7 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   val invoke : 'i handle -> 'i Request.t -> 'i abstract_outcome
   (** Run the construction for one request until it commits or the
       instance aborts. After an abort the handle is dead: further invokes
-      return aborts with the same history. *)
+      return aborts with the same history. Raises {!Capacity_exceeded}. *)
 
   val performed : 'i handle -> 'i History.t
   (** The handle's local log of decided requests (diagnostics). *)

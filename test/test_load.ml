@@ -114,7 +114,8 @@ let test_engine_smoke_chain () =
   check_result (Load.run { (smoke_cfg Load.Chain) with Load.duration_s = 0.4 })
 
 (* sharded family: 2 shards with a live migration every 40 updates of
-   domain 0; per-shard op counters must account for every batched op *)
+   domain 0; every committed update is counted on its shard (as are
+   warmup ops and reads), so the per-shard total bounds the wins *)
 let test_engine_smoke_sharded () =
   let r =
     Load.run
@@ -128,11 +129,35 @@ let test_engine_smoke_sharded () =
   in
   check_result r;
   let extra k = match List.assoc_opt k r.Load.r_extra with Some v -> v | None -> -1 in
-  if extra "batched_ops" < 0 then Alcotest.fail "batched_ops counter missing";
   let shard_total = extra "shard0_ops" + extra "shard1_ops" in
   if shard_total < 0 then Alcotest.fail "per-shard counters missing";
-  Alcotest.(check int) "per-shard counters account for the batched ops" (extra "batched_ops")
-    shard_total
+  if shard_total < r.Load.r_wins then
+    Alcotest.failf "per-shard total %d below committed updates %d" shard_total r.Load.r_wins
+
+(* the driver recycles on exactly these exceptions and lets any other
+   failure surface, so exhausting a bounded object must raise them *)
+let test_capacity_signals () =
+  let module P = Scs_prims.Native_prims in
+  let module Uc = Scs_universal.Uc_object.Make (P) in
+  let module Cc = Scs_consensus.Cas_consensus.Make (P) in
+  let module Ll = Scs_tas.Long_lived.Make (P) in
+  let cas ~name ~slot = Cc.instance (Cc.create ~name:(Printf.sprintf "%s.cas[%d]" name slot) ()) in
+  let uc =
+    Uc.Typed.create Scs_spec.Objects.register
+      (Uc.create ~name:"cap.uc" ~n:1 ~max_requests:1 ~stages:[ cas ] ())
+  in
+  let h = Uc.Typed.handle uc ~pid:0 in
+  let put i = Uc.Typed.apply h (Scs_spec.Request.make i (Scs_spec.Objects.Reg_write i)) in
+  ignore (put 1);
+  (match put 2 with
+  | _ -> Alcotest.fail "UC past max_requests did not raise"
+  | exception Scs_universal.Universal.Capacity_exceeded -> ());
+  let lh = Ll.handle (Ll.create ~name:"cap.ll" ~rounds:1 ()) ~pid:0 in
+  Alcotest.(check bool) "first round wins" true (Ll.test_and_set lh = Scs_spec.Objects.Winner);
+  Ll.reset lh;
+  match Ll.test_and_set lh with
+  | _ -> Alcotest.fail "long-lived TAS past its rounds did not raise"
+  | exception Scs_tas.Long_lived.Capacity_exceeded -> ()
 
 let test_to_record () =
   let r = Load.run (smoke_cfg Load.Hardware) in
@@ -172,5 +197,7 @@ let tests =
       test_engine_smoke_chain;
     Alcotest.test_case "engine smoke: sharded family (2 domains, 2 shards, migrating)"
       `Quick test_engine_smoke_sharded;
+    Alcotest.test_case "capacity exhaustion raises typed exceptions" `Quick
+      test_capacity_signals;
     Alcotest.test_case "native trajectory record round-trip" `Quick test_to_record;
   ]

@@ -1,11 +1,11 @@
 (* The sharded universal-construction service (lib/shard): routing
    totality and stability across migration epochs, migration safety and
-   recovery, the flat-combining batcher, the 1-shard differential
-   identity against the bare universal construction, and the
-   partitioned-vs-monolithic checker agreement on migration-spanning
-   fuzzed histories. All deterministic tests run on the native backend
-   single-threaded (no concurrency, so outcomes are reproducible); the
-   schedule-sensitive ones go through the simulator fuzz harness. *)
+   recovery, the 1-shard differential identity against the bare
+   universal construction, and the partitioned-vs-monolithic checker
+   agreement on migration-spanning fuzzed histories. All deterministic
+   tests run on the native backend single-threaded (no concurrency, so
+   outcomes are reproducible); the schedule-sensitive ones go through
+   the simulator fuzz harness. *)
 
 open Scs_spec
 module Kv = Scs_shard.Kv
@@ -146,21 +146,6 @@ let test_migration_in_place () =
   | S.Done (Kv.Value 22) -> ()
   | _ -> Alcotest.fail "in-place migration lost the bucket"
 
-(* ---- the flat-combining batcher -------------------------------------- *)
-
-let test_batcher_self_service () =
-  let svc = mk_svc () in
-  let bat = S.Batcher.create ~name:(fresh_name ()) svc in
-  let h = S.handle svc ~pid:0 in
-  (match S.Batcher.apply bat ~h (Kv.Put (3, 33)) with
-  | S.Done Kv.Ack -> ()
-  | _ -> Alcotest.fail "batched put failed");
-  (match S.Batcher.apply bat ~h (Kv.Get 3) with
-  | S.Done (Kv.Value 33) -> ()
-  | _ -> Alcotest.fail "batched get wrong");
-  Alcotest.(check bool) "drains counted" true (S.Batcher.batches bat >= 2);
-  Alcotest.(check int) "every cell served" 2 (S.Batcher.batched_ops bat)
-
 (* ---- 1-shard differential identity ----------------------------------- *)
 
 (* The same deterministic op sequence through (a) the 1-shard service
@@ -265,7 +250,6 @@ let tests =
       Alcotest.test_case "migration moves a bucket with its state" `Quick
         test_migration_moves_bucket;
       Alcotest.test_case "in-place migration preserves state" `Quick test_migration_in_place;
-      Alcotest.test_case "batcher self-service drains" `Quick test_batcher_self_service;
       Alcotest.test_case "1-shard service ≡ bare UC (response identity)" `Quick
         test_s1_identity;
       Alcotest.test_case "fuzz: migrating service (uniform)" `Slow test_fuzz_migrate;
