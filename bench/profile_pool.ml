@@ -23,20 +23,13 @@ let n = 4
 let runs = 50_000
 
 let install_spec ~obs sim =
-  let module P = (val Scs_prims.Sim_prims.make sim) in
-  let module OS = Scs_tas.One_shot.Make (P) in
-  let os = OS.create ~strict:false ~name:"tas" () in
+  let module T = Scs_workload.Tas_run in
+  let op = T.op (Scs_prims.Sim_prims.make sim) ~obs ~name:"tas" ~n T.Composed in
   for pid = 0 to n - 1 do
+    let req = Scs_spec.Request.make pid Scs_spec.Objects.Test_and_set in
     Sim.spawn sim pid (fun () ->
         Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-        (match OS.A1m.apply (OS.a1 os) ~pid None with
-        | Scs_composable.Outcome.Commit _ -> ()
-        | Scs_composable.Outcome.Abort v -> (
-            Obs.abort obs ~pid;
-            Obs.handoff obs ~pid ~label:"a1->a2";
-            match OS.A2m.apply (OS.a2 os) ~pid (Some v) with
-            | Scs_composable.Outcome.Commit _ -> ()
-            | Scs_composable.Outcome.Abort _ -> assert false));
+        ignore (op.T.apply ~pid req);
         Obs.op_end obs ~pid ~aborted:false)
   done
 

@@ -4,7 +4,8 @@
    scs experiment T1 [T2 ...]        run experiments by id
    scs simulate --algo=... -n 4 ...  one simulated TAS run with a trace dump
    scs consensus --algo=... -n 4     one simulated consensus run
-   scs check --algo=... --seeds 500  randomized safety checking *)
+   scs explore --workload=NAME -n 3  bounded model checking of a fuzz workload
+   scs fuzz --workload=NAME          randomized schedule fuzzing *)
 
 open Cmdliner
 open Scs_spec
@@ -25,7 +26,20 @@ let rec ensure_dir d =
 let n_arg =
   Arg.(value & opt int 4 & info [ "n"; "processes" ] ~docv:"N" ~doc:"Number of processes.")
 
+let n_opt_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "n"; "processes" ] ~docv:"N" ~doc:"Process count (default: per workload).")
+
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+(* a fuzz-registry workload by name, or exit with a hint *)
+let find_workload name =
+  match Fuzz_run.find name with
+  | Some w -> w
+  | None ->
+      Printf.eprintf "unknown workload %s (try scs fuzz --list-workloads)\n" name;
+      exit 1
 
 let tas_algo_arg =
   let algos =
@@ -196,38 +210,6 @@ let consensus_cmd =
     (Cmd.info "consensus" ~doc:"Run one simulated abortable-consensus execution.")
     Term.(const run $ n_arg $ seed_arg $ algo_arg $ policy_arg $ backend_arg)
 
-(* ---- check --------------------------------------------------------------- *)
-
-let check_cmd =
-  let seeds_arg =
-    Arg.(value & opt int 500 & info [ "seeds" ] ~docv:"K" ~doc:"Number of random schedules.")
-  in
-  let run n algo seeds =
-    let failures = ref 0 in
-    for seed = 1 to seeds do
-      let r = Tas_run.one_shot ~seed ~n ~algo ~policy:Policy.random () in
-      let ops = Trace.operations r.Tas_run.outer in
-      let strict_ok = Tas_lin.check_one_shot ops in
-      let paper_ok = Scs_composable.Tas_interp.is_safely_composable r.Tas_run.outer in
-      let winners = List.length (Tas_run.winners r) in
-      let ok =
-        winners = 1
-        && paper_ok
-        && (strict_ok || algo = Tas_run.Composed)
-        (* the paper variant is only speculatively linearizable: F-1 *)
-      in
-      if not ok then begin
-        incr failures;
-        Printf.printf "seed %d: winners=%d strict=%b paper=%b\n" seed winners strict_ok paper_ok
-      end
-    done;
-    Printf.printf "%s: %d/%d schedules failed\n" (Tas_run.algo_name algo) !failures seeds;
-    if !failures > 0 then exit 1
-  in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Randomized safety checking of a TAS implementation.")
-    Term.(const run $ n_arg $ tas_algo_arg $ seeds_arg)
-
 (* ---- explore -------------------------------------------------------------- *)
 
 let explore_cmd =
@@ -257,19 +239,28 @@ let explore_cmd =
       & info [ "stats" ]
           ~doc:"Print simulator-pool statistics (fresh creates vs rewind reuses).")
   in
-  let run n algo budget por domains backend pool_stats =
-    let outcome, bad =
-      Tas_run.explore_one_shot ~max_schedules:budget ~por ~domains ~backend ~n ~algo ()
+  let workload_arg =
+    Arg.(
+      value & opt string "f1"
+      & info [ "workload" ] ~docv:"NAME"
+          ~doc:"Fuzz workload to explore (see $(b,scs fuzz --list-workloads)).")
+  in
+  let run workload n_opt budget por domains backend pool_stats =
+    let w = find_workload workload in
+    let n = Option.value n_opt ~default:w.Fuzz_run.default_n in
+    let outcome, bad, skipped =
+      Fuzz_run.explore ~max_schedules:budget ~por ~domains ~backend w ~n
     in
     Printf.printf
       "%s, n=%d, backend=%s: explored %d schedules%s; pruned %d; %d truncated runs; %d \
-       turns in %.2fs; non-linearizable: %d\n"
-      (Tas_run.algo_name algo) n
+       turns in %.2fs; violations: %d%s\n"
+      w.Fuzz_run.name n
       (Scs_prims.Backend.name backend)
       outcome.Explore.schedules
       (if outcome.Explore.truncated then " (budget-truncated)" else " (complete)")
       outcome.Explore.pruned outcome.Explore.truncated_runs outcome.Explore.steps_replayed
-      outcome.Explore.wall_s bad;
+      outcome.Explore.wall_s bad
+      (if skipped > 0 then Printf.sprintf "; skipped: %d" skipped else "");
     if pool_stats then
       Printf.printf "pool: %d fresh simulator(s), %d rewind reuse(s)\n"
         outcome.Explore.sims_created outcome.Explore.sims_reused;
@@ -278,9 +269,11 @@ let explore_cmd =
   Cmd.v
     (Cmd.info "explore"
        ~doc:
-         "Exhaustively enumerate interleavings of a one-shot TAS run and check strict           linearizability on each (bounded model checking).")
+         "Exhaustively enumerate the interleavings of a fuzz workload and run its check \
+          on each maximal schedule (bounded model checking; exit status 1 when a check \
+          fails).")
     Term.(
-      const run $ n_arg $ tas_algo_arg $ budget_arg $ por_arg $ domains_arg $ backend_arg
+      const run $ workload_arg $ n_opt_arg $ budget_arg $ por_arg $ domains_arg $ backend_arg
       $ stats_flag_arg)
 
 (* ---- fuzz ------------------------------------------------------------------ *)
@@ -335,11 +328,6 @@ let fuzz_cmd =
   in
   let list_arg =
     Arg.(value & flag & info [ "list-workloads" ] ~doc:"List fuzz workloads and exit.")
-  in
-  let n_opt_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n"; "processes" ] ~docv:"N" ~doc:"Process count (default: per workload).")
   in
   let runs_arg =
     Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"K" ~doc:"Schedules per policy.")
@@ -424,12 +412,7 @@ let fuzz_cmd =
     let workloads =
       match workload with
       | "all" -> List.filter (fun w -> not w.Fuzz_run.expect_failures) Fuzz_run.all
-      | name -> (
-          match Fuzz_run.find name with
-          | Some w -> [ w ]
-          | None ->
-              Printf.eprintf "unknown workload %s (try --list-workloads)\n" name;
-              exit 1)
+      | name -> [ find_workload name ]
     in
     let found = ref 0 in
     List.iter
@@ -1039,11 +1022,6 @@ let difffuzz_cmd =
             "Workload to diff-fuzz (see $(b,scs fuzz --list-workloads)); $(b,all) covers \
              every workload that is expected to hold on atomic registers.")
   in
-  let n_opt_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n"; "processes" ] ~docv:"N" ~doc:"Process count (default: per workload).")
-  in
   let runs_arg =
     Arg.(value & opt int 200 & info [ "runs" ] ~docv:"K" ~doc:"Runs per schedule policy.")
   in
@@ -1241,7 +1219,6 @@ let () =
             experiment_cmd;
             simulate_cmd;
             consensus_cmd;
-            check_cmd;
             explore_cmd;
             fuzz_cmd;
             difffuzz_cmd;

@@ -57,4 +57,16 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       | Some v -> run ~pid ~old:None v
     in
     { Consensus_intf.name; propose_raw; run }
+
+  module Sc = Split_consensus.Make (P)
+  module Ab = Abortable_bakery.Make (P)
+  module Cc = Cas_consensus.Make (P)
+
+  let split_bakery_cas ?on_handoff ~name ~n () =
+    make ?on_handoff ~name
+      [
+        Sc.instance (Sc.create ~name:(name ^ ".split") ());
+        Ab.instance (Ab.create ~name:(name ^ ".bakery") ~n ());
+        Cc.instance (Cc.create ~name:(name ^ ".cas") ());
+      ]
 end

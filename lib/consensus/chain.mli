@@ -34,4 +34,16 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       stage [k+1] — the composition's switch-value handoff — so harnesses
       can count handoffs without instrumenting the simulator (the native
       load harness's per-domain counters hang off this hook). *)
+
+  val split_bakery_cas :
+    ?on_handoff:(pid:int -> stage:int -> unit) ->
+    name:string ->
+    n:int ->
+    unit ->
+    'v Consensus_intf.t
+  (** The paper's composed chain for [n] processes: SplitConsensus, then
+      AbortableBakery, then CAS consensus, named [name ^ ".split"],
+      [name ^ ".bakery"] and [name ^ ".cas"]. Every engine that runs the
+      chain (simulated consensus runs, fuzzing, native load) builds it
+      here. *)
 end

@@ -137,12 +137,9 @@ let splitter_table ~n ~seed_budget =
        seed_per por_per (seed_per /. por_per) covered covered)
 
 let composed_table ~n ~budget =
-  let run ~por ~domains =
-    Tas_run.explore_one_shot ~max_schedules:budget ~por ~domains ~n ~algo:Tas_run.Composed
-      ()
-  in
-  let plain, bad_plain = run ~por:false ~domains:1 in
-  let por, bad_por = run ~por:true ~domains:1 in
+  let run ~por = Fuzz_run.explore ~max_schedules:budget ~por Fuzz_run.f1 ~n in
+  let plain, bad_plain, _ = run ~por:false in
+  let por, bad_por, _ = run ~por:true in
   let covered = plain.Explore.schedules in
   Table.print
     ~title:

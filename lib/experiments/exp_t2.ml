@@ -59,7 +59,8 @@ let run () =
   Table.print
     ~title:
       "Mean per-operation cost over 50 seeds (paper: composed ≈ hardware-free when \
-       uncontended; tournament pays Θ(log n) always; hardware pays 1 AWAR always)"
+       uncontended; tournament entrants pay Θ(log n), late arrivals lose at its \
+       doorway; hardware pays 1 AWAR always)"
     ~header:[ "algorithm"; "schedule"; "n"; "steps"; "RMWs"; "RAWs"; "fast-path %" ]
     rows;
   print_newline ();

@@ -121,9 +121,6 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
   module Uc = Scs_universal.Uc_object.Make (P)
   module Sv = Scs_shard.Service.Make (P)
   module Ch = Scs_consensus.Chain.Make (P)
-  module Sc = Scs_consensus.Split_consensus.Make (P)
-  module Ab = Scs_consensus.Abortable_bakery.Make (P)
-  module Cc = Scs_consensus.Cas_consensus.Make (P)
   module CI = Scs_consensus.Consensus_intf
 
   let spf = Printf.sprintf
@@ -252,14 +249,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
      arena (a fresh generation of objects; per-domain phandles are
      rebuilt in refresh). *)
   let uc_register ~domains ~keys ~capacity =
-    let stages =
-      [
-        (fun ~name ~slot -> Sc.instance (Sc.create ~name:(spf "%s.split[%d]" name slot) ()));
-        (fun ~name ~slot ->
-          Ab.instance (Ab.create ~name:(spf "%s.bakery[%d]" name slot) ~n:domains ()));
-        (fun ~name ~slot -> Cc.instance (Cc.create ~name:(spf "%s.cas[%d]" name slot) ()));
-      ]
-    in
+    let stages = Uc.split_bakery_cas ~n:domains in
     let mk_arena () =
       Array.init keys (fun k ->
           Uc.Typed.create Objects.register
@@ -314,12 +304,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     let hand = Array.make domains 0 in
     let on_handoff ~pid ~stage:_ = hand.(pid) <- hand.(pid) + 1 in
     let mk_chain k i =
-      Ch.make ~on_handoff ~name:(spf "load.chain[%d][%d]" k i)
-        [
-          Sc.instance (Sc.create ~name:(spf "load.chain[%d][%d].split" k i) ());
-          Ab.instance (Ab.create ~name:(spf "load.chain[%d][%d].bakery" k i) ~n:domains ());
-          Cc.instance (Cc.create ~name:(spf "load.chain[%d][%d].cas" k i) ());
-        ]
+      Ch.split_bakery_cas ~on_handoff ~name:(spf "load.chain[%d][%d]" k i) ~n:domains ()
     in
     let arena = Array.init keys (fun k -> Array.init capacity (mk_chain k)) in
     let cur = Array.init keys (fun _ -> Atomic.make 0) in
@@ -383,6 +368,25 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     let handles = Array.init domains (fun pid -> Sv.handle !arena ~pid) in
     let used = Array.make_matrix domains shards 0 in
     let shard_ops = Array.init shards (fun _ -> Atomic.make 0) in
+    (* Stage switches are read off the handles, as [uc_register] does:
+       a handle's stage on each shard only grows, so the sum over shards
+       before and after an op counts that op's aborts (each one hands
+       its history to the next stage). [retired] keeps the switches of
+       handles replaced at a recycle, for the [switches] extra. *)
+    let stages h =
+      let t = ref 0 in
+      for s = 0 to shards - 1 do
+        t := !t + Sv.stage_of h ~shard:s
+      done;
+      !t
+    in
+    let retired = Array.make domains 0 in
+    let counted ~pid fl =
+      let s0 = stages handles.(pid) in
+      let fl = fl () in
+      let switched = stages handles.(pid) - s0 in
+      fl lor f_aborts switched lor f_handoffs switched
+    in
     let upd0 = ref 0 in
     let apply ~pid payload =
       match Sv.apply handles.(pid) payload with
@@ -406,11 +410,15 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
         | exception Scs_universal.Universal.Capacity_exceeded -> f_recycle
     in
     let i_update ~pid ~key ~rng =
-      let fl = if pid = 0 && migrate_every > 0 then migrate () else 0 in
-      fl lor apply ~pid (Scs_shard.Kv.Put (key, Rng.int rng 1024))
+      counted ~pid (fun () ->
+          let fl = if pid = 0 && migrate_every > 0 then migrate () else 0 in
+          fl lor apply ~pid (Scs_shard.Kv.Put (key, Rng.int rng 1024)))
     in
-    let i_read ~pid ~key = apply ~pid (Scs_shard.Kv.Get key) land lnot f_win in
+    let i_read ~pid ~key =
+      counted ~pid (fun () -> apply ~pid (Scs_shard.Kv.Get key) land lnot f_win)
+    in
     let i_refresh ~pid =
+      retired.(pid) <- retired.(pid) + stages handles.(pid);
       handles.(pid) <- Sv.handle !arena ~pid;
       Array.fill used.(pid) 0 shards 0
     in
@@ -418,7 +426,12 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
       arena := mk ();
       mig := Sv.Migration.create ~name:"load.mig" !arena
     in
-    let i_stats () = List.init shards (fun s -> (spf "shard%d_ops" s, Atomic.get shard_ops.(s))) in
+    let i_stats () =
+      let switches = ref 0 in
+      Array.iteri (fun pid r -> switches := !switches + r + stages handles.(pid)) retired;
+      List.init shards (fun s -> (spf "shard%d_ops" s, Atomic.get shard_ops.(s)))
+      @ [ ("switches", !switches) ]
+    in
     { i_read; i_update; i_refresh; i_recycle; i_stats }
 
   let make cfg =

@@ -114,7 +114,9 @@ type result = {
   r_abort_rate : float;  (** aborts per update *)
   r_extra : (string * int) list;
       (** workload-specific counters (sharded-uc: per-shard committed
-          op totals, warmup included — the imbalance evidence) *)
+          op totals — the imbalance evidence — and [switches], the
+          consensus stage switches read off the service handles; both
+          include warmup) *)
 }
 
 val run : cfg -> result

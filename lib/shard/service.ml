@@ -3,25 +3,14 @@ open Scs_spec
 module Make (P : Scs_prims.Prims_intf.S) = struct
   module R = Router.Make (P)
   module Uc = Scs_universal.Uc_object.Make (P)
-  module Sc = Scs_consensus.Split_consensus.Make (P)
-  module Ab = Scs_consensus.Abortable_bakery.Make (P)
-  module Cc = Scs_consensus.Cas_consensus.Make (P)
-
   let spf = Printf.sprintf
-
-  let default_stages ~n =
-    [
-      (fun ~name ~slot -> Sc.instance (Sc.create ~name:(spf "%s.split[%d]" name slot) ()));
-      (fun ~name ~slot -> Ab.instance (Ab.create ~name:(spf "%s.bakery[%d]" name slot) ~n ()));
-      (fun ~name ~slot -> Cc.instance (Cc.create ~name:(spf "%s.cas[%d]" name slot) ()));
-    ]
 
   type shard_obj = (Kv.state, Kv.req, Kv.resp) Uc.Typed.obj
 
   type t = { n : int; router : R.t; objs : shard_obj array }
 
-  let create ?stages ~name ~n ~shards ~buckets ~capacity () =
-    let stages = match stages with Some s -> s | None -> default_stages ~n in
+  let create ~name ~n ~shards ~buckets ~capacity () =
+    let stages = Uc.split_bakery_cas ~n in
     let spec = Kv.spec ~buckets in
     let objs =
       Array.init shards (fun s ->
@@ -96,6 +85,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     go 0
 
   let inflight h = h.inflight
+  let stage_of h ~shard = Uc.stage_of (snd h.hs.(shard))
 
   let recover ?retries h =
     match h.inflight with

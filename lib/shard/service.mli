@@ -1,7 +1,7 @@
 (** The sharded universal-construction service.
 
     [shards] universal-construction objects (each the paper's composed
-    chain, split > bakery > cas by default) serve a keyspace hash-
+    chain, split > bakery > cas) serve a keyspace hash-
     partitioned into [buckets] buckets by a {!Router}. A client
     operation routes its key, applies on the owner shard, and — if the
     shard answers [Refused] (the bucket froze or moved under it) —
@@ -45,8 +45,6 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   type t
 
   val create :
-    ?stages:
-      (name:string -> slot:int -> Kv.req Scs_spec.Request.t Scs_consensus.Consensus_intf.t) list ->
     name:string ->
     n:int ->
     shards:int ->
@@ -57,9 +55,9 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   (** [capacity] is each shard's [max_requests]; administrative
       requests (freeze/install) consume it too. A shard out of slots
       raises [Scs_universal.Universal.Capacity_exceeded] from any call
-      that proposes on it. [stages] defaults to
-      the composed split > bakery > cas chain sized for [n]
-      processes. *)
+      that proposes on it. Every shard is the composed split > bakery >
+      cas chain sized for [n] processes
+      ({!Scs_universal.Uc_object.Make.split_bakery_cas}). *)
 
   val router : t -> R.t
   val shards : t -> int
@@ -91,6 +89,12 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       so a crash between the shard committing and the caller recording
       the response still finds it. A non-[None] value after [apply]
       returned is therefore normal, not a leak. *)
+
+  val stage_of : h -> shard:int -> int
+  (** The consensus stage this handle's process currently uses on
+      [shard] (0 = split, 1 = bakery, 2 = cas). It only grows, so the
+      sum over shards before and after an operation counts the stage
+      switches (aborts handed to the next stage) the operation made. *)
 
   val recover : ?retries:int -> h -> outcome option
   (** Crash-recovery re-invocation as described above; [None] if no

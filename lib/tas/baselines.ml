@@ -21,18 +21,25 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
        Leaves are [leaves + pid]. A process climbs from its leaf; at each
        node it plays the side it arrived from (0 = left child, 1 = right).
        At most one process arrives per side (subtree winners are unique),
-       so two-process consensus per node suffices. *)
-    type t = { nodes : int Cil.t array; leaves : int }
+       so two-process consensus per node suffices.
+
+       The tree alone is not linearizable: a process beaten at a low node
+       can return [Loser] before the eventual root winner has even been
+       invoked, and no sequential order puts a winner first. The [door]
+       register in front of the tree fixes that: every process sets it
+       before climbing, and a process that finds it set loses at once.
+       A process invoked after any operation returned therefore loses at
+       the door, so the root winner was invoked before every [Loser]
+       returned and can be linearized first. *)
+    type t = { door : bool P.reg; nodes : int Cil.t array; leaves : int }
 
     let create ~name ~n () =
       let rec pow2 k = if k >= n then k else pow2 (2 * k) in
       let leaves = pow2 1 in
-      {
-        nodes =
-          Array.init leaves (fun i ->
-              Cil.create ~name:(Printf.sprintf "%s.node[%d]" name i) ());
-        leaves;
-      }
+      let nodes =
+        Array.init leaves (fun i -> Cil.create ~name:(Printf.sprintf "%s.node[%d]" name i) ())
+      in
+      { door = P.reg ~name:(name ^ ".door") false; nodes; leaves }
 
     let test_and_set t ~pid ~rng =
       if pid < 0 || pid >= t.leaves then invalid_arg "Tournament.test_and_set: pid out of range";
@@ -45,6 +52,10 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
           if decided = side then climb parent else Objects.Loser
         end
       in
-      climb (t.leaves + pid)
+      if P.read t.door then Objects.Loser
+      else begin
+        P.write t.door true;
+        climb (t.leaves + pid)
+      end
     end
 end

@@ -6,8 +6,10 @@
       when uncontended).
     - {!Make.Tournament}: an Afek–Gafni–Tromp–Vitányi-style wait-free TAS
       from registers only: a binary tournament tree whose nodes are
-      randomized two-process consensus instances ({!Scs_consensus.Cil_consensus}).
-      O(log n) expected steps per operation, O(n) space, no RMW at all. *)
+      randomized two-process consensus instances ({!Scs_consensus.Cil_consensus}),
+      behind a doorway register that makes it linearizable (a late arrival
+      loses without climbing). O(log n) expected steps per operation, O(n)
+      space, no RMW at all. *)
 
 open Scs_spec
 

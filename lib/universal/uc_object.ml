@@ -42,6 +42,18 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
           invoke ph req
         end
 
+  module Sc = Scs_consensus.Split_consensus.Make (P)
+  module Ab = Scs_consensus.Abortable_bakery.Make (P)
+  module Cc = Scs_consensus.Cas_consensus.Make (P)
+
+  let split_bakery_cas ~n =
+    let spf = Printf.sprintf in
+    [
+      (fun ~name ~slot -> Sc.instance (Sc.create ~name:(spf "%s.split[%d]" name slot) ()));
+      (fun ~name ~slot -> Ab.instance (Ab.create ~name:(spf "%s.bakery[%d]" name slot) ~n ()));
+      (fun ~name ~slot -> Cc.instance (Cc.create ~name:(spf "%s.cas[%d]" name slot) ()));
+    ]
+
   let stage_of ph = ph.stage
   let switch_lengths ph = List.rev ph.switches
 

@@ -31,6 +31,14 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       instance's consensus factory (e.g. SplitConsensus, then Bakery, then
       CAS). *)
 
+  val split_bakery_cas :
+    n:int -> (name:string -> slot:int -> 'v Scs_consensus.Consensus_intf.t) list
+  (** The paper's composed stage list for [n] processes: SplitConsensus,
+      then AbortableBakery, then CAS consensus, each slot's instance named
+      [name.split[slot]], [name.bakery[slot]] and [name.cas[slot]]. The
+      sharded service, the native load register and the bare UC keyspace
+      workload all use it. *)
+
   type 'i phandle
 
   val phandle : 'i t -> pid:int -> 'i phandle

@@ -40,16 +40,8 @@ let make_instance (type a) ~algo ~n (module P : Scs_prims.Prims_intf.S)
       let module CC = Cas_consensus.Make (P) in
       CC.instance (CC.create ~name:"cas" ())
   | Chain3 ->
-      let module SC = Split_consensus.Make (P) in
-      let module AB = Abortable_bakery.Make (P) in
-      let module CC = Cas_consensus.Make (P) in
       let module CH = Chain.Make (P) in
-      CH.make ~name:"chain"
-        [
-          SC.instance (SC.create ~name:"chain.split" ());
-          AB.instance (AB.create ~name:"chain.bakery" ~n ());
-          CC.instance (CC.create ~name:"chain.cas" ());
-        ]
+      CH.split_bakery_cas ~name:"chain" ~n ()
 
 let run ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?obs ~n ~algo ~policy () =
   let rng = Rng.create seed in

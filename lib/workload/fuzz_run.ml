@@ -28,57 +28,44 @@ let get slot = Option.get !slot
 
 (* ---- one-shot TAS workloads ------------------------------------------- *)
 
-type tas_trace = (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t
-
-let tas_one_shot_setup ~n ~mk slot sim =
-  let tr : tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
-  slot := Some tr;
-  let op = mk sim in
-  for pid = 0 to n - 1 do
-    Sim.spawn sim pid (fun () ->
-        let req = Request.make pid Objects.Test_and_set in
-        Trace.invoke tr ~pid req;
-        let r = op ~pid in
-        Trace.commit tr ~pid req r)
-  done
-
 (* The backend's primitive maker: every workload setup goes through it,
    so fuzzing (and differential fuzzing) select sim-linearizable vs
    sim-SC uniformly. *)
 let prims_of backend = Scs_prims.Backend.sim_prims backend
 
-let mk_one_shot ~strict prims sim =
-  let module P = (val prims sim : Scs_prims.Prims_intf.S) in
-  let module OS = Scs_tas.One_shot.Make (P) in
-  let os = OS.create ~strict ~name:"tas" () in
-  fun ~pid -> OS.test_and_set os ~pid
+(* Every process performs one test-and-set, built by [Tas_run.op] with
+   objects named [obj]; the client trace goes to the slot. *)
+let tas_one_shot_setup ~n ~algo ~obj ~backend slot sim =
+  let tr : Tas_run.tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
+  slot := Some tr;
+  let op = Tas_run.op ~outer:tr (prims_of backend sim) ~obs:(Sim.obs sim) ~name:obj ~n algo in
+  for pid = 0 to n - 1 do
+    Sim.spawn sim pid (fun () ->
+        ignore (op.Tas_run.apply ~pid (Request.make pid Objects.Test_and_set)))
+  done
 
-let mk_solo_fast prims sim =
-  let module P = (val prims sim : Scs_prims.Prims_intf.S) in
-  let module SF = Scs_tas.Solo_fast.Make (P) in
-  let sf = SF.create ~name:"sf" () in
-  fun ~pid -> SF.test_and_set sf ~pid
-
-let check_strictly_linearizable what slot _sim =
+let check_strictly_linearizable what ~n:_ slot _sim =
   let ops = Trace.operations (Trace.events (get slot)) in
   if not (Tas_lin.check_one_shot ops) then violation "%s not strictly linearizable" what
+
+let tas_workload name ~describe ~expect_failures ~obj ~algo check =
+  {
+    name;
+    describe;
+    default_n = 4;
+    expect_failures;
+    instantiate =
+      (fun ?(backend = Scs_prims.Backend.default) ~n () ->
+        let s = slot () in
+        { setup = tas_one_shot_setup ~n ~algo ~obj ~backend s; check = check ~n s });
+  }
 
 (* F-1 finder: the verbatim composed algorithm against the strict
    Herlihy–Wing criterion it is known to violate from n = 3 on. *)
 let f1 =
-  {
-    name = "f1";
-    describe = "composed A1∘A2 vs strict linearizability (known failing, finding F-1)";
-    default_n = 4;
-    expect_failures = true;
-    instantiate =
-      (fun ?(backend = Scs_prims.Backend.default) ~n () ->
-        let s = slot () in
-        {
-          setup = tas_one_shot_setup ~n ~mk:(mk_one_shot ~strict:false (prims_of backend)) s;
-          check = check_strictly_linearizable "composed A1∘A2" s;
-        });
-  }
+  tas_workload "f1" ~obj:"tas" ~expect_failures:true ~algo:Tas_run.Composed
+    ~describe:"composed A1∘A2 vs strict linearizability (known failing, finding F-1)"
+    (check_strictly_linearizable "composed A1∘A2")
 
 (* F-2 finder: Invariant 4 of the Lemma 4 proof on the bare A1 — no
    operation aborting with W may be invoked after a loser committed. *)
@@ -95,7 +82,7 @@ let f2 =
           let module P = (val prims_of backend sim) in
           let module A1 = Scs_tas.A1.Make (P) in
           let a1 = A1.create ~name:"a1" () in
-          let tr : tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
+          let tr : Tas_run.tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
           s := Some tr;
           for pid = 0 to n - 1 do
             Sim.spawn sim pid (fun () ->
@@ -137,65 +124,47 @@ let f2 =
    must hold on every schedule (Theorem 2 territory), so any violation
    is a real regression. *)
 let tas_composed =
-  {
-    name = "tas-composed";
-    describe = "composed A1∘A2: winner uniqueness + Definition 2 interpretation";
-    default_n = 4;
-    expect_failures = false;
-    instantiate =
-      (fun ?(backend = Scs_prims.Backend.default) ~n () ->
-        let s = slot () in
-        let check _sim =
-          let evs = Trace.events (get s) in
-          let ops = Trace.operations evs in
-          let committed, winners =
-            List.fold_left
-              (fun (c, w) (o : _ Trace.operation) ->
-                match o.Trace.outcome with
-                | Trace.Committed { resp = Objects.Winner; _ } -> (c + 1, w + 1)
-                | Trace.Committed _ -> (c + 1, w)
-                | _ -> (c, w))
-              (0, 0) ops
-          in
-          if winners > 1 then violation "%d winners" winners;
-          if committed = n && winners = 0 then violation "all committed, no winner";
-          if committed = List.length ops then
-            match Tas_interp.check_events evs with
-            | Ok () -> ()
-            | Error e -> violation "no Definition 2 interpretation: %s" e
-        in
-        { setup = tas_one_shot_setup ~n ~mk:(mk_one_shot ~strict:false (prims_of backend)) s; check });
-  }
+  tas_workload "tas-composed" ~obj:"tas" ~expect_failures:false ~algo:Tas_run.Composed
+    ~describe:"composed A1∘A2: winner uniqueness + Definition 2 interpretation"
+    (fun ~n s _sim ->
+      let evs = Trace.events (get s) in
+      let ops = Trace.operations evs in
+      let committed, winners =
+        List.fold_left
+          (fun (c, w) (o : _ Trace.operation) ->
+            match o.Trace.outcome with
+            | Trace.Committed { resp = Objects.Winner; _ } -> (c + 1, w + 1)
+            | Trace.Committed _ -> (c + 1, w)
+            | _ -> (c, w))
+          (0, 0) ops
+      in
+      if winners > 1 then violation "%d winners" winners;
+      if committed = n && winners = 0 then violation "all committed, no winner";
+      if committed = List.length ops then
+        match Tas_interp.check_events evs with
+        | Ok () -> ()
+        | Error e -> violation "no Definition 2 interpretation: %s" e)
 
 let tas_strict =
-  {
-    name = "tas-strict";
-    describe = "strict-variant A1∘A2 vs strict linearizability (finding F-3)";
-    default_n = 4;
-    expect_failures = false;
-    instantiate =
-      (fun ?(backend = Scs_prims.Backend.default) ~n () ->
-        let s = slot () in
-        {
-          setup = tas_one_shot_setup ~n ~mk:(mk_one_shot ~strict:true (prims_of backend)) s;
-          check = check_strictly_linearizable "strict variant" s;
-        });
-  }
+  tas_workload "tas-strict" ~obj:"tas" ~expect_failures:false ~algo:Tas_run.Strict
+    ~describe:"strict-variant A1∘A2 vs strict linearizability (finding F-3)"
+    (check_strictly_linearizable "strict variant")
 
 let tas_solo_fast =
-  {
-    name = "tas-solo-fast";
-    describe = "Appendix B solo-fast variant vs strict linearizability";
-    default_n = 4;
-    expect_failures = false;
-    instantiate =
-      (fun ?(backend = Scs_prims.Backend.default) ~n () ->
-        let s = slot () in
-        {
-          setup = tas_one_shot_setup ~n ~mk:(mk_solo_fast (prims_of backend)) s;
-          check = check_strictly_linearizable "solo-fast variant" s;
-        });
-  }
+  tas_workload "tas-solo-fast" ~obj:"sf" ~expect_failures:false ~algo:Tas_run.Solo_fast
+    ~describe:"Appendix B solo-fast variant vs strict linearizability"
+    (check_strictly_linearizable "solo-fast variant")
+
+let tas_hardware =
+  tas_workload "tas-hardware" ~obj:"hw" ~expect_failures:false ~algo:Tas_run.Hardware
+    ~describe:"raw hardware TAS baseline vs strict linearizability"
+    (check_strictly_linearizable "hardware TAS")
+
+let tas_tournament =
+  tas_workload "tas-tournament" ~obj:"agtv" ~expect_failures:false
+    ~algo:Tas_run.Tournament
+    ~describe:"register-only tournament TAS baseline vs strict linearizability"
+    (check_strictly_linearizable "tournament TAS")
 
 (* ---- splitter --------------------------------------------------------- *)
 
@@ -244,17 +213,9 @@ let consensus_chain =
         let s = slot () in
         let setup sim =
           let module P = (val prims_of backend sim) in
-          let module SC = Scs_consensus.Split_consensus.Make (P) in
-          let module AB = Scs_consensus.Abortable_bakery.Make (P) in
-          let module CC = Scs_consensus.Cas_consensus.Make (P) in
           let module CH = Scs_consensus.Chain.Make (P) in
           let inst : int Scs_consensus.Consensus_intf.t =
-            CH.make ~name:"chain"
-              [
-                SC.instance (SC.create ~name:"chain.split" ());
-                AB.instance (AB.create ~name:"chain.bakery" ~n ());
-                CC.instance (CC.create ~name:"chain.cas" ());
-              ]
+            CH.split_bakery_cas ~name:"chain" ~n ()
           in
           let outcomes = Array.make n None in
           s := Some outcomes;
@@ -608,6 +569,8 @@ let all =
     tas_composed;
     tas_strict;
     tas_solo_fast;
+    tas_hardware;
+    tas_tournament;
     tas_long_lived;
     splitter;
     consensus_chain;
@@ -650,6 +613,22 @@ let fuzz ?backend ?policies ?runs ?time_budget ?max_violations ?seed ?max_steps 
       let { setup; check } = w.instantiate ?backend ~n () in
       (setup, check))
     ()
+
+(* [Explore.exhaustive] runs each replay's setup and its check back to
+   back on one worker domain, so one workload instance per domain carries
+   the slot from a run's setup to its check. *)
+let explore ?max_schedules ?max_depth ?por ?domains ?backend w ~n =
+  let inst = Domain.DLS.new_key (fun () -> w.instantiate ?backend ~n ()) in
+  let violations = Atomic.make 0 and skipped = Atomic.make 0 in
+  let setup sim = (Domain.DLS.get inst).setup sim in
+  let check sim _schedule =
+    match (Domain.DLS.get inst).check sim with
+    | () -> ()
+    | exception Fuzz.Violation _ -> Atomic.incr violations
+    | exception Fuzz.Skip _ -> Atomic.incr skipped
+  in
+  let outcome = Explore.exhaustive ?max_schedules ?max_depth ?por ?domains ~n ~setup ~check () in
+  (outcome, Atomic.get violations, Atomic.get skipped)
 
 type replay_outcome =
   | Violates of string  (** the recorded violation reproduces *)

@@ -40,6 +40,13 @@ val tas_composed : t
 val tas_strict : t
 val tas_solo_fast : t
 
+val tas_hardware : t
+(** The raw hardware TAS baseline against strict linearizability. *)
+
+val tas_tournament : t
+(** The register-only tournament baseline against strict
+    linearizability. *)
+
 val tas_long_lived : t
 (** Strict long-lived TAS: every run's history has 200+ operations (well
     past the legacy 62-op checker cap) and 60+ resets, verified by the
@@ -105,6 +112,24 @@ val fuzz :
     [obs] attaches an observability sink to every run's simulator, as
     documented there. [backend] selects the primitive backend; the
     report and its repro artifacts carry the {!qualified_name}. *)
+
+val explore :
+  ?max_schedules:int ->
+  ?max_depth:int ->
+  ?por:bool ->
+  ?domains:int ->
+  ?backend:Scs_prims.Backend.t ->
+  t ->
+  n:int ->
+  Explore.outcome * int * int
+(** Exhaustive bounded model checking of the workload: {!Explore.exhaustive}
+    with the workload's [setup] and, after every maximal schedule, its
+    [check]. Returns the exploration outcome, the number of schedules
+    whose check raised {!Fuzz.Violation}, and the number it skipped
+    ({!Fuzz.Skip}). Each worker domain keeps its own workload instance,
+    so the count is domain-safe. Exploring under [Sim_sc] counts how
+    many schedules break the check once registers are only per-object
+    SC. *)
 
 type replay_outcome =
   | Violates of string  (** the recorded violation reproduces *)

@@ -45,26 +45,6 @@ type agg = {
   objects : (string * int * int) list;
 }
 
-(* Bare A1: each process performs one [apply] inside an obs bracket.
-   Mirrors exp_t1's abort census but measured by the sink instead of a
-   post-hoc trace scan. *)
-let run_a1 ?(crashes = []) ~backend ~obs ~n ~policy rng =
-  let sim = Sim.create ~obs ~n () in
-  let module P = (val Scs_prims.Backend.sim_prims backend sim) in
-  let module M = Scs_tas.A1.Make (P) in
-  let a1 = M.create ~name:"a1" () in
-  for pid = 0 to n - 1 do
-    Sim.spawn sim pid (fun () ->
-        Obs.op_begin obs ~pid ~obj:0 ~label:"a1";
-        let outcome = M.apply a1 ~pid None in
-        let aborted = match outcome with Outcome.Abort _ -> true | _ -> false in
-        if aborted then Obs.abort obs ~pid;
-        Obs.op_end obs ~pid ~aborted)
-  done;
-  let p = policy rng in
-  let p = if crashes = [] then p else Policy.with_crashes crashes p in
-  Sim.run sim p
-
 (* Sharded service: every pid pushes a short keyed script through the
    2-shard router; each client operation is bracketed under the label of
    the shard that owns its key at invoke time, so the batch aggregate
@@ -116,13 +96,6 @@ let install_shard ~backend ~obs ~n sim =
   done;
   rearm
 
-let run_shard ?(crashes = []) ~backend ~obs ~n ~policy rng =
-  let sim = Sim.create ~obs ~n () in
-  let (_ : unit -> unit) = install_shard ~backend ~obs ~n sim in
-  let p = policy rng in
-  let p = if crashes = [] then p else Policy.with_crashes crashes p in
-  Sim.run sim p
-
 let gen_crashes rng ~n ~crash_prob =
   List.filter_map
     (fun p ->
@@ -157,29 +130,14 @@ let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
     objects = Obs.objects obs;
   }
 
-let one_run ?(crashes = []) ~backend ~obs ~target ~n ~policy rng =
-  match target with
-  | A1 -> run_a1 ~crashes ~backend ~obs ~n ~policy rng
-  | Shard -> run_shard ~crashes ~backend ~obs ~n ~policy rng
-  | Tas algo ->
-      let seed = Rng.int rng 0x3FFFFFFF in
-      ignore
-        (Tas_run.one_shot ~seed ~backend ~trace_mem:false ~crashes ~obs ~n ~algo
-           ~policy ())
-  | Cons algo ->
-      let seed = Rng.int rng 0x3FFFFFFF in
-      ignore (Cons_run.run ~seed ~backend ~obs ~n ~algo ~policy ())
+(* ---- measurement engines ------------------------------------------- *)
 
-(* ---- pooled measurement engine ------------------------------------- *)
-
-(* Install the target's shared objects and fibers once on [sim] (whose
-   sink is [obs]), replicating the obs-bracket semantics of the legacy
-   per-run drivers ([run_a1] / [Tas_run.one_shot] / [Cons_run.run]) but
-   without their tracing scaffolding: the batch aggregate only reads
-   the sink. All algorithm state lives in simulator objects, so
-   [Sim.reset] rewinds a finished (or livelocked) run back to this
-   installed state. Returns the per-run rearm hook, fed the run's
-   derived rng for targets whose operations consume randomness. *)
+(* Install the target's shared objects and fibers on [sim] (whose sink
+   is [obs]), every operation inside an obs bracket. All algorithm
+   state lives in simulator objects, so [Sim.reset] rewinds a finished
+   (or livelocked) run back to this installed state. Returns the
+   per-run rearm hook, fed the run's derived rng for targets whose
+   operations consume randomness. *)
 let install ~backend ~obs ~target ~n sim =
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
   match target with
@@ -195,64 +153,16 @@ let install ~backend ~obs ~target ~n sim =
             Obs.op_end obs ~pid ~aborted)
       done;
       fun _ -> ()
-  | Tas (Tas_run.Composed | Tas_run.Strict) ->
-      let module OS = Scs_tas.One_shot.Make (P) in
-      let os = OS.create ~strict:(target = Tas Tas_run.Strict) ~name:"tas" () in
+  | Tas algo ->
+      let op = Tas_run.op (module P) ~obs ~name:(Tas_run.object_name algo) ~n algo in
       for pid = 0 to n - 1 do
+        let req = Scs_spec.Request.make pid Scs_spec.Objects.Test_and_set in
         Sim.spawn sim pid (fun () ->
             Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            (match OS.A1m.apply (OS.a1 os) ~pid None with
-            | Outcome.Commit _ -> ()
-            | Outcome.Abort v -> (
-                Obs.abort obs ~pid;
-                Obs.handoff obs ~pid ~label:"a1->a2";
-                match OS.A2m.apply (OS.a2 os) ~pid (Some v) with
-                | Outcome.Commit _ -> ()
-                | Outcome.Abort _ -> assert false));
+            ignore (op.Tas_run.apply ~pid req);
             Obs.op_end obs ~pid ~aborted:false)
       done;
-      fun _ -> ()
-  | Tas Tas_run.Solo_fast ->
-      let module SF = Scs_tas.Solo_fast.Make (P) in
-      let sf = SF.create ~name:"sftas" () in
-      for pid = 0 to n - 1 do
-        Sim.spawn sim pid (fun () ->
-            Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            (match SF.apply_fast sf ~pid None with
-            | Outcome.Commit _ -> ()
-            | Outcome.Abort v -> (
-                Obs.abort obs ~pid;
-                Obs.handoff obs ~pid ~label:"sf->fallback";
-                match SF.apply_fallback sf ~pid (Some v) with
-                | Outcome.Commit _ -> ()
-                | Outcome.Abort _ -> assert false));
-            Obs.op_end obs ~pid ~aborted:false)
-      done;
-      fun _ -> ()
-  | Tas Tas_run.Hardware ->
-      let module B = Scs_tas.Baselines.Make (P) in
-      let hw = B.Hardware.create ~name:"hw" () in
-      for pid = 0 to n - 1 do
-        Sim.spawn sim pid (fun () ->
-            Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            ignore (B.Hardware.test_and_set hw ~pid);
-            Obs.op_end obs ~pid ~aborted:false)
-      done;
-      fun _ -> ()
-  | Tas Tas_run.Tournament ->
-      let module B = Scs_tas.Baselines.Make (P) in
-      let tn = B.Tournament.create ~name:"agtv" ~n () in
-      let rngs = Array.init n (fun i -> Rng.create (i + 1)) in
-      for pid = 0 to n - 1 do
-        Sim.spawn sim pid (fun () ->
-            Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            ignore (B.Tournament.test_and_set tn ~pid ~rng:rngs.(pid));
-            Obs.op_end obs ~pid ~aborted:false)
-      done;
-      fun rng ->
-        for i = 0 to n - 1 do
-          rngs.(i) <- Rng.split rng
-        done
+      op.Tas_run.rearm
   | Shard ->
       let rearm = install_shard ~backend ~obs ~n sim in
       fun _ -> rearm ()
@@ -274,11 +184,39 @@ let install ~backend ~obs ~target ~n sim =
       done;
       fun _ -> ()
 
+(* The per-run rng chain both engines share, draw for draw: A1 and the
+   sharded service schedule straight from the run's rng; TAS and
+   consensus targets draw a seed, rearm (Tournament's coins) from it and
+   schedule from a split of it. Returns the policy's rng. *)
+let policy_rng ~target ~rearm rng =
+  match target with
+  | A1 -> rng
+  | Shard ->
+      rearm rng;
+      rng
+  | Tas _ | Cons _ ->
+      let rng2 = Rng.create (Rng.int rng 0x3FFFFFFF) in
+      rearm rng2;
+      Rng.split rng2
+
+(* the consensus targets run without crashes *)
+let crashes_of ~target crashes = match target with Cons _ -> [] | _ -> crashes
+
+(* The reference engine: a fresh simulator per run, installed anew and
+   driven by the boxed policy wrappers ([~pooled:false]). *)
+let fresh_run ~backend ~obs ~target ~n ~policy ~crashes rng =
+  let sim = Sim.create ~obs ~n () in
+  let rearm = install ~backend ~obs ~target ~n sim in
+  let p = policy (policy_rng ~target ~rearm rng) in
+  let p =
+    match crashes_of ~target crashes with [] -> p | cs -> Policy.with_crashes cs p
+  in
+  try Sim.run sim p with Sim.Livelock _ -> ()
+
 (* One domain's share of a pooled batch: a single simulator installed
    once, rewound with [Sim.reset] per run, driven by the allocation-free
-   loop. The per-run rng chain reproduces the legacy engine's exactly
-   (crash draws, the per-run derived seed, Tournament's per-pid splits,
-   then the policy stream), so the recorded metrics match run for run. *)
+   loop on the same per-run rng chain as [fresh_run], so the recorded
+   metrics match run for run. *)
 let run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
   let sim = Sim.create ~obs ~n () in
   let rearm = install ~backend ~obs ~target ~n sim in
@@ -287,21 +225,9 @@ let run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
   for i = 1 to runs do
     let rng = Rng.split prng in
     let crashes = gen_crashes rng ~n ~crash_prob in
-    let pol_rng =
-      match target with
-      | A1 -> rng
-      | Shard ->
-          rearm rng;
-          rng
-      | Tas _ | Cons _ ->
-          let seed = Rng.int rng 0x3FFFFFFF in
-          let rng2 = Rng.create seed in
-          rearm rng2;
-          Rng.split rng2
-    in
+    let pol_rng = policy_rng ~target ~rearm rng in
     if i > 1 then Sim.reset sim;
-    (* the legacy consensus driver takes no crash wrapper *)
-    Policy.arm_crashes plan (match target with Cons _ -> [] | _ -> crashes);
+    Policy.arm_crashes plan (crashes_of ~target crashes);
     let fast =
       if policy == Policy.random then Policy.fast_random pol_rng
       else Policy.to_fast (policy pol_rng)
@@ -316,24 +242,22 @@ let measure ?(runs = 200) ?(seed = 42) ?(backend = Scs_prims.Backend.default)
   let gen_domains = max 1 gen_domains in
   (* The batch sink's event ring is never replayed (the aggregate reads
      counters, census and op metrics only), so the pooled engine skips
-     ring recording entirely; the legacy engine keeps it, as it did
+     ring recording entirely; the fresh engine keeps it, as it did
      before pooling existed, for honest before/after numbers. *)
   let obs = Obs.create ~record_ring:(not pooled) ~n () in
   let t0 = Unix.gettimeofday () in
   let completed =
     if not pooled then begin
-      (* legacy reference engine: fresh simulator and driver per run,
-         kept for before/after measurements (experiment T14) *)
+      (* reference engine: a fresh simulator per run, kept for
+         before/after measurements (experiment T14) and the pooled
+         identity check *)
       let prng = Rng.create seed in
-      let completed = ref 0 in
       for _ = 1 to runs do
         let rng = Rng.split prng in
         let crashes = gen_crashes rng ~n ~crash_prob in
-        (try one_run ~crashes ~backend ~obs ~target ~n ~policy rng
-         with Sim.Livelock _ -> ());
-        incr completed
+        fresh_run ~backend ~obs ~target ~n ~policy ~crashes rng
       done;
-      !completed
+      runs
     end
     else if gen_domains = 1 then
       run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng:(Rng.create seed) ~runs
@@ -389,7 +313,7 @@ let measure ?(runs = 200) ?(seed = 42) ?(backend = Scs_prims.Backend.default)
 let solo ?(backend = Scs_prims.Backend.default) target ~n =
   let obs = Obs.create ~n () in
   let t0 = Unix.gettimeofday () in
-  one_run ~backend ~obs ~target ~n ~policy:(fun _ -> Policy.solo 0) (Rng.create 1);
+  fresh_run ~backend ~obs ~target ~n ~policy:(fun _ -> Policy.solo 0) ~crashes:[] (Rng.create 1);
   let wall = Unix.gettimeofday () -. t0 in
   let agg = aggregate ~workload:(target_name target) ~backend ~n ~runs:1 ~wall obs in
   (* keep only p0's first operation: the uncontended-cost sample *)

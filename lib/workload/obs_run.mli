@@ -3,8 +3,9 @@
     T13.
 
     A {e target} is a workload whose every high-level operation is
-    bracketed on a {!Scs_obs.Obs} sink ({!Tas_run} / {!Cons_run} with
-    [~obs], or the bare-A1 driver defined here), so a batch of seeded
+    bracketed on a {!Scs_obs.Obs} sink (the one-shot TAS operation of
+    {!Tas_run.op}, a {!Cons_run} instance, the bare A1 or the sharded
+    service, each installed once per simulator), so a batch of seeded
     runs yields per-operation step counts and contention measurements
     matching the paper's definitions — plus a schedules/sec throughput
     figure for the bench trajectory. See [docs/metrics.md] for how
@@ -67,10 +68,12 @@ val measure :
 
     [pooled] (default [true]) runs the batch on one simulator per
     domain, installed once and rewound with [Sim.reset] between runs,
-    under the allocation-free scheduling loop — the per-run rng chain
-    matches the legacy fresh-simulator engine ([~pooled:false], kept
-    for before/after comparisons) draw for draw, so the recorded
-    metrics are identical and only throughput changes.
+    under the allocation-free scheduling loop. [~pooled:false] is the
+    reference engine, kept for before/after comparisons: it installs
+    the target on a fresh simulator per run and drives it with the
+    boxed policy wrappers. Both engines install the same way and draw
+    the same per-run rng chain, so the recorded metrics are identical
+    and only throughput changes.
 
     [gen_domains] (default 1) splits the batch across that many OCaml
     domains, each with its own pooled simulator and private sink,

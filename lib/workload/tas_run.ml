@@ -118,85 +118,102 @@ let run_policy ?(crashes = []) sim policy rng =
   Sim.run sim p;
   Vec.to_array buf
 
+type tas_trace = (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t
+
+type op = {
+  apply :
+    pid:int -> Objects.tas_req Request.t -> Objects.tas_resp * Scs_tas.One_shot.stage option;
+  rearm : Rng.t -> unit;
+}
+
+let object_name = function
+  | Composed | Strict -> "tas"
+  | Solo_fast -> "sftas"
+  | Hardware -> "hw"
+  | Tournament -> "agtv"
+
+let op ?outer ?a1 ?a2 (module P : Scs_prims.Prims_intf.S) ~obs ~name ~n algo =
+  let on tr f = Option.iter f tr in
+  (* A composed object: the speculative module first, and on its abort
+     the switch value handed to the fallback module. *)
+  let composed ~label ~fast ~fallback ~pid req =
+    on outer (fun t -> Trace.invoke t ~pid req);
+    on a1 (fun t -> Trace.invoke t ~pid req);
+    let r, stage =
+      match fast ~pid with
+      | Outcome.Commit r ->
+          on a1 (fun t -> Trace.commit t ~pid req r);
+          (r, Scs_tas.One_shot.Fast)
+      | Outcome.Abort v -> (
+          on a1 (fun t -> Trace.abort t ~pid req v);
+          Scs_obs.Obs.abort obs ~pid;
+          Scs_obs.Obs.handoff obs ~pid ~label;
+          on a2 (fun t -> Trace.init t ~pid req v);
+          match fallback ~pid v with
+          | Outcome.Commit r ->
+              on a2 (fun t -> Trace.commit t ~pid req r);
+              (r, Scs_tas.One_shot.Fallback)
+          | Outcome.Abort _ -> assert false)
+    in
+    on outer (fun t -> Trace.commit t ~pid req r);
+    (r, Some stage)
+  in
+  let baseline tas ~pid req =
+    on outer (fun t -> Trace.invoke t ~pid req);
+    let r = tas ~pid in
+    on outer (fun t -> Trace.commit t ~pid req r);
+    (r, None)
+  in
+  let fixed apply = { apply; rearm = ignore } in
+  match algo with
+  | Composed | Strict ->
+      let module OS = Scs_tas.One_shot.Make (P) in
+      let os = OS.create ~strict:(algo = Strict) ~name () in
+      fixed
+        (composed ~label:"a1->a2"
+           ~fast:(fun ~pid -> OS.A1m.apply (OS.a1 os) ~pid None)
+           ~fallback:(fun ~pid v -> OS.A2m.apply (OS.a2 os) ~pid (Some v)))
+  | Solo_fast ->
+      let module SF = Scs_tas.Solo_fast.Make (P) in
+      let sf = SF.create ~name () in
+      fixed
+        (composed ~label:"sf->fallback"
+           ~fast:(fun ~pid -> SF.apply_fast sf ~pid None)
+           ~fallback:(fun ~pid v -> SF.apply_fallback sf ~pid (Some v)))
+  | Hardware ->
+      let module B = Scs_tas.Baselines.Make (P) in
+      let hw = B.Hardware.create ~name () in
+      fixed (baseline (B.Hardware.test_and_set hw))
+  | Tournament ->
+      let module B = Scs_tas.Baselines.Make (P) in
+      let tn = B.Tournament.create ~name ~n () in
+      let rngs = Array.init n (fun i -> Rng.create (i + 1)) in
+      {
+        apply = baseline (fun ~pid -> B.Tournament.test_and_set tn ~pid ~rng:rngs.(pid));
+        rearm =
+          (fun rng ->
+            for i = 0 to n - 1 do
+              rngs.(i) <- Rng.split rng
+            done);
+      }
+
 let one_shot ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem = true)
     ?(crashes = []) ?obs ~n ~algo ~policy () =
   let rng = Rng.create seed in
   let sim = Sim.create ?obs ~n () in
   Sim.set_trace sim trace_mem;
-  let obs = Sim.obs sim in
-  let module P = (val Scs_prims.Backend.sim_prims backend sim) in
   let recorder = make_recorder sim in
-  let tr = recorder in
-  (* a per-process closure performing one traced operation *)
-  let op_fn : (pid:int -> Objects.tas_req Request.t -> Objects.tas_resp * Scs_tas.One_shot.stage option) =
-    match algo with
-    | Composed | Strict ->
-        let module OS = Scs_tas.One_shot.Make (P) in
-        let os = OS.create ~strict:(algo = Strict) ~name:"tas" () in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          Trace.invoke tr.rec_a1 ~pid req;
-          (match OS.A1m.apply (OS.a1 os) ~pid None with
-          | Outcome.Commit r ->
-              Trace.commit tr.rec_a1 ~pid req r;
-              Trace.commit tr.rec_outer ~pid req r;
-              (r, Some Scs_tas.One_shot.Fast)
-          | Outcome.Abort v -> (
-              Trace.abort tr.rec_a1 ~pid req v;
-              Scs_obs.Obs.abort obs ~pid;
-              Scs_obs.Obs.handoff obs ~pid ~label:"a1->a2";
-              Trace.init tr.rec_a2 ~pid req v;
-              match OS.A2m.apply (OS.a2 os) ~pid (Some v) with
-              | Outcome.Commit r ->
-                  Trace.commit tr.rec_a2 ~pid req r;
-                  Trace.commit tr.rec_outer ~pid req r;
-                  (r, Some Scs_tas.One_shot.Fallback)
-              | Outcome.Abort _ -> assert false))
-    | Solo_fast ->
-        let module SF = Scs_tas.Solo_fast.Make (P) in
-        let sf = SF.create ~name:"sftas" () in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          Trace.invoke tr.rec_a1 ~pid req;
-          (match SF.apply_fast sf ~pid None with
-          | Outcome.Commit r ->
-              Trace.commit tr.rec_a1 ~pid req r;
-              Trace.commit tr.rec_outer ~pid req r;
-              (r, Some Scs_tas.One_shot.Fast)
-          | Outcome.Abort v -> (
-              Trace.abort tr.rec_a1 ~pid req v;
-              Scs_obs.Obs.abort obs ~pid;
-              Scs_obs.Obs.handoff obs ~pid ~label:"sf->fallback";
-              Trace.init tr.rec_a2 ~pid req v;
-              match SF.apply_fallback sf ~pid (Some v) with
-              | Outcome.Commit r ->
-                  Trace.commit tr.rec_a2 ~pid req r;
-                  Trace.commit tr.rec_outer ~pid req r;
-                  (r, Some Scs_tas.One_shot.Fallback)
-              | Outcome.Abort _ -> assert false))
-    | Hardware ->
-        let module B = Scs_tas.Baselines.Make (P) in
-        let hw = B.Hardware.create ~name:"hw" () in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          let r = B.Hardware.test_and_set hw ~pid in
-          Trace.commit tr.rec_outer ~pid req r;
-          (r, None)
-    | Tournament ->
-        let module B = Scs_tas.Baselines.Make (P) in
-        let tn = B.Tournament.create ~name:"agtv" ~n () in
-        let rngs = Array.init n (fun _ -> Rng.split rng) in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          let r = B.Tournament.test_and_set tn ~pid ~rng:rngs.(pid) in
-          Trace.commit tr.rec_outer ~pid req r;
-          (r, None)
+  let op =
+    op ~outer:recorder.rec_outer ~a1:recorder.rec_a1 ~a2:recorder.rec_a2
+      (Scs_prims.Backend.sim_prims backend sim)
+      ~obs:(Sim.obs sim) ~name:(object_name algo) ~n algo
   in
+  op.rearm rng;
   for pid = 0 to n - 1 do
     Sim.spawn sim pid (fun () ->
         ignore
           (record_op sim recorder ~pid (fun req ->
-               let resp, stage = op_fn ~pid req in
+               let resp, stage = op.apply ~pid req in
                (resp, stage, 0))))
   done;
   let schedule = run_policy ~crashes sim policy (Rng.split rng) in
@@ -233,59 +250,6 @@ let long_lived ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem =
   done;
   let schedule = run_policy ~crashes sim policy (Rng.split rng) in
   finish sim recorder ~schedule
-
-(* ---- exhaustive one-shot exploration ---------------------------------- *)
-
-(* The per-domain "current trace" slot: [Explore.exhaustive] interleaves
-   setup / run / check sequentially within each worker domain, so
-   domain-local state is exactly the right scope for handing the trace
-   recorded during the last replay to the check that follows it. *)
-let explore_slot : (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t option Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> None)
-
-let explore_one_shot ?max_schedules ?max_depth ?(por = false) ?(domains = 1)
-    ?(backend = Scs_prims.Backend.default) ~n ~algo () =
-  let bad = Atomic.make 0 in
-  let setup sim =
-    let module P = (val Scs_prims.Backend.sim_prims backend sim) in
-    let tr = Trace.create ~clock:(fun () -> Sim.clock sim) () in
-    Domain.DLS.set explore_slot (Some tr);
-    let op =
-      match algo with
-      | Composed | Strict ->
-          let module OS = Scs_tas.One_shot.Make (P) in
-          let os = OS.create ~strict:(algo = Strict) ~name:"tas" () in
-          fun ~pid -> OS.test_and_set os ~pid
-      | Solo_fast ->
-          let module SF = Scs_tas.Solo_fast.Make (P) in
-          let sf = SF.create ~name:"sf" () in
-          fun ~pid -> SF.test_and_set sf ~pid
-      | Hardware ->
-          let module B = Scs_tas.Baselines.Make (P) in
-          let hw = B.Hardware.create ~name:"hw" () in
-          fun ~pid -> B.Hardware.test_and_set hw ~pid
-      | Tournament ->
-          let module B = Scs_tas.Baselines.Make (P) in
-          let tn = B.Tournament.create ~name:"agtv" ~n () in
-          let rngs = Array.init n (fun i -> Rng.create (i + 1)) in
-          fun ~pid -> B.Tournament.test_and_set tn ~pid ~rng:rngs.(pid)
-    in
-    for pid = 0 to n - 1 do
-      Sim.spawn sim pid (fun () ->
-          let req = Request.make pid Objects.Test_and_set in
-          Trace.invoke tr ~pid req;
-          let r = op ~pid in
-          Trace.commit tr ~pid req r)
-    done
-  in
-  let check _sim _sched =
-    let tr = Option.get (Domain.DLS.get explore_slot) in
-    if not (Tas_lin.check_one_shot (Trace.operations (Trace.events tr))) then
-      Atomic.incr bad
-  in
-  let outcome = Explore.exhaustive ?max_schedules ?max_depth ~por ~domains ~n ~setup ~check () in
-  (outcome, Atomic.get bad)
 
 let rounds_of result =
   let ops = Trace.operations result.outer in

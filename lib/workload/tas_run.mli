@@ -48,6 +48,47 @@ type result = {
   round_of_req : (int, int) Hashtbl.t;  (** request id → long-lived round *)
 }
 
+(** {1 The one-shot operation}
+
+    Every engine that runs a one-shot test-and-set ({!one_shot}, the
+    {!Fuzz_run} TAS workloads and so [scs explore], the {!Obs_run}
+    stats targets) builds the operation here, so the A1/A2 split, its
+    observability events and the object names are written once. *)
+
+type tas_trace = (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t
+
+type op = {
+  apply :
+    pid:int -> Objects.tas_req Request.t -> Objects.tas_resp * Scs_tas.One_shot.stage option;
+      (** One test-and-set by [pid]; the stage is [None] for baselines. *)
+  rearm : Scs_util.Rng.t -> unit;
+      (** Draw [Tournament]'s per-process coin streams from the given rng
+          ([n] splits, pid order); a no-op for every other algorithm.
+          Until called, process [i] flips coins from [Rng.create (i + 1)]. *)
+}
+
+val object_name : algo -> string
+(** The object-name prefix {!one_shot} and the stats targets use:
+    [tas], [sftas], [hw] or [agtv]. *)
+
+val op :
+  ?outer:tas_trace ->
+  ?a1:tas_trace ->
+  ?a2:tas_trace ->
+  (module Scs_prims.Prims_intf.S) ->
+  obs:Scs_obs.Obs.t ->
+  name:string ->
+  n:int ->
+  algo ->
+  op
+(** Allocate the algorithm's objects (named [name.*]) on the primitives
+    and return its operation. [outer] records each operation's invoke
+    and commit; [a1] records the speculative module's invoke and commit
+    or abort, [a2] the fallback module's init and commit (composed
+    algorithms only). Each abort into the fallback also reports an
+    abort and a switch-value handoff to [obs]; on {!Scs_obs.Obs.null}
+    that costs nothing. *)
+
 val one_shot :
   ?seed:int ->
   ?backend:Scs_prims.Backend.t ->
@@ -89,27 +130,6 @@ val rounds_of :
   result -> (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.operation list list
 (** Long-lived operations grouped by round, for
     {!Scs_history.Tas_lin.check_long_lived}. *)
-
-val explore_one_shot :
-  ?max_schedules:int ->
-  ?max_depth:int ->
-  ?por:bool ->
-  ?domains:int ->
-  ?backend:Scs_prims.Backend.t ->
-  n:int ->
-  algo:algo ->
-  unit ->
-  Explore.outcome * int
-(** Exhaustive bounded model checking of the one-shot workload: every
-    process performs exactly one [test_and_set], every maximal schedule's
-    client-level history is checked with the specialised TAS
-    linearizability checker. Returns the exploration outcome and the
-    number of non-linearizable schedules (0 = safe on every explored
-    interleaving). [por] and [domains] are passed through to
-    {!Explore.exhaustive}; the violation counter is domain-safe.
-    [backend] selects the simulator primitive backend — exploring under
-    [Sim_sc] counts how many schedules break strict linearizability once
-    registers are only per-object SC. *)
 
 (** {1 Derived judgements} *)
 

@@ -6,7 +6,9 @@
    - multicore fan-out (domains > 1) covers the same schedule count;
    - depth-truncated runs are counted separately and never checked;
    - nondeterministic setups are rejected with [Replay_drift], and
-     mid-run allocation is rejected under POR. *)
+     mid-run allocation is rejected under POR;
+   - exploring a fuzz-registry workload ([Fuzz_run.explore]) reproduces
+     the one-shot TAS exploration counts, on one domain or two. *)
 
 open Scs_sim
 
@@ -216,6 +218,32 @@ let test_por_rejects_midrun_allocation () =
   let outcome = Explore.exhaustive ~n:2 ~setup ~check:(fun _ _ -> ()) () in
   Alcotest.(check bool) "plain engine accepts it" false outcome.Explore.truncated
 
+(* POR exploration of the registered one-shot TAS workloads at n = 3:
+   complete, with the schedule, pruning and violation counts the
+   hand-written one-shot explorer reported before it was folded into the
+   registry. f1 keeps finding F-1's two non-linearizable schedules; two
+   worker domains (one workload instance each) count the same. *)
+let test_registry_explore_counts () =
+  List.iter
+    (fun (name, schedules, pruned, violations) ->
+      let w = Option.get (Scs_workload.Fuzz_run.find name) in
+      List.iter
+        (fun domains ->
+          let o, bad, skipped = Scs_workload.Fuzz_run.explore ~por:true ~domains w ~n:3 in
+          let what s = Printf.sprintf "%s (%d domains) %s" name domains s in
+          Alcotest.(check bool) (what "complete") false o.Explore.truncated;
+          Alcotest.(check int) (what "schedules") schedules o.Explore.schedules;
+          Alcotest.(check int) (what "pruned") pruned o.Explore.pruned;
+          Alcotest.(check int) (what "violations") violations bad;
+          Alcotest.(check int) (what "skipped") 0 skipped)
+        [ 1; 2 ])
+    [
+      ("f1", 1956, 21806, 2);
+      ("tas-strict", 8709, 77324, 0);
+      ("tas-solo-fast", 1800, 19815, 0);
+      ("tas-hardware", 6, 23, 0);
+    ]
+
 let tests =
   [
     Alcotest.test_case "matches naive enumerator" `Quick test_same_schedules_as_naive;
@@ -231,4 +259,6 @@ let tests =
       test_nondeterministic_setup_raises;
     Alcotest.test_case "POR rejects mid-run allocation" `Quick
       test_por_rejects_midrun_allocation;
+    Alcotest.test_case "registry workloads: one-shot TAS counts" `Quick
+      test_registry_explore_counts;
   ]

@@ -134,6 +134,43 @@ let test_engine_smoke_sharded () =
   if shard_total < r.Load.r_wins then
     Alcotest.failf "per-shard total %d below committed updates %d" shard_total r.Load.r_wins
 
+(* The sharded driver's flag words count consensus stage switches: on a
+   contended random schedule under the simulator, the aborts summed over
+   every op equal the switches the service handles made (the [switches]
+   extra), and there are some. *)
+let test_sharded_switches_counted () =
+  let n = 3 and ops = 6 in
+  let sim = Scs_sim.Sim.create ~n () in
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module D = Load.Driver (P) in
+  let cfg =
+    {
+      (Load.default_cfg ~workload:Load.Sharded_uc ~domains:n) with
+      Load.mix = Mix.make ~read_ratio:0.0 ~keys:2 ~skew:Mix.Uniform;
+      shards = 2;
+      buckets = 2;
+    }
+  in
+  let inst = D.make cfg in
+  let aborts = ref 0 and handoffs = ref 0 in
+  for pid = 0 to n - 1 do
+    Scs_sim.Sim.spawn sim pid (fun () ->
+        let rng = Scs_util.Rng.create (pid + 1) in
+        for i = 1 to ops do
+          let fl =
+            if i mod 3 = 0 then inst.Load.i_read ~pid ~key:(i mod 2)
+            else inst.Load.i_update ~pid ~key:(i mod 2) ~rng
+          in
+          aborts := !aborts + Load.flag_aborts fl;
+          handoffs := !handoffs + Load.flag_handoffs fl
+        done)
+  done;
+  Scs_sim.Sim.run sim (Scs_sim.Policy.random (Scs_util.Rng.create 11));
+  let switches = List.assoc "switches" (inst.Load.i_stats ()) in
+  Alcotest.(check int) "flag-word aborts = service stage switches" switches !aborts;
+  Alcotest.(check int) "one handoff per switch" switches !handoffs;
+  if switches = 0 then Alcotest.fail "no stage switch on a contended schedule"
+
 (* the driver recycles on exactly these exceptions and lets any other
    failure surface, so exhausting a bounded object must raise them *)
 let test_capacity_signals () =
@@ -197,6 +234,8 @@ let tests =
       test_engine_smoke_chain;
     Alcotest.test_case "engine smoke: sharded family (2 domains, 2 shards, migrating)"
       `Quick test_engine_smoke_sharded;
+    Alcotest.test_case "sharded driver counts stage switches (sim)" `Quick
+      test_sharded_switches_counted;
     Alcotest.test_case "capacity exhaustion raises typed exceptions" `Quick
       test_capacity_signals;
     Alcotest.test_case "native trajectory record round-trip" `Quick test_to_record;

@@ -11,9 +11,6 @@ open Scs_spec
 module Kv = Scs_shard.Kv
 module P = Scs_prims.Native_prims
 module S = Scs_shard.Service.Make (P)
-module Sc = Scs_consensus.Split_consensus.Make (P)
-module Ab = Scs_consensus.Abortable_bakery.Make (P)
-module Cc = Scs_consensus.Cas_consensus.Make (P)
 
 (* distinct object names per service instance: qcheck creates many *)
 let fresh_name =
@@ -178,17 +175,10 @@ let test_s1_identity () =
         | S.Gave_up -> Alcotest.fail "1-shard service gave up uncontended")
       (script n)
   in
-  let stages =
-    let spf = Printf.sprintf in
-    [
-      (fun ~name ~slot -> Sc.instance (Sc.create ~name:(spf "%s.split[%d]" name slot) ()));
-      (fun ~name ~slot -> Ab.instance (Ab.create ~name:(spf "%s.bakery[%d]" name slot) ~n ()));
-      (fun ~name ~slot -> Cc.instance (Cc.create ~name:(spf "%s.cas[%d]" name slot) ()));
-    ]
-  in
   let obj =
     S.Uc.Typed.create (Kv.spec ~buckets:1)
-      (S.Uc.create ~name:(fresh_name ()) ~n ~max_requests:128 ~stages ())
+      (S.Uc.create ~name:(fresh_name ()) ~n ~max_requests:128
+         ~stages:(S.Uc.split_bakery_cas ~n) ())
   in
   let uh = Array.init n (fun pid -> S.Uc.Typed.handle obj ~pid) in
   let gen = Request.Gen.create () in
